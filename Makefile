@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-service bench-longtail bench-gateway bench-smoke flight-smoke fuzz check
+.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-service bench-longtail bench-gateway bench-smoke perfbench-smoke flight-smoke fuzz check
 
 # Everything the ruff gate covers — named explicitly so benchmarks/ and
 # scripts/ can never silently drop out of the lint surface.  Update when
@@ -62,12 +62,10 @@ bench-throughput:
 bench-dynamic:
 	$(PYTHON) benchmarks/bench_dynamic_batch.py
 
-# Regenerate BENCH_fleet.json — covers BOTH fleet executors (gates:
-# batched sync fleet >= 3x the sequential per-mission/per-frame loop on
-# 16 missions with outcome parity and Oracle-parity on clean scenarios;
-# pipelined executor >= 1.5x over sync on multi-core hosts, with the
-# relaxed-contract invariants — verdict/negotiation/escalation parity —
-# unconditional; see docs/BENCHMARKS.md).
+# Regenerate BENCH_fleet.json (gates: batched fleet >= 3x the
+# sequential per-mission/per-frame loop on 16 missions with outcome
+# parity, Oracle-parity on clean scenarios, flight-recorder overhead
+# <= 10% with a byte-identical replay; see docs/BENCHMARKS.md).
 bench-fleet:
 	$(PYTHON) benchmarks/bench_fleet.py
 
@@ -100,6 +98,26 @@ bench-smoke:
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_service.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_longtail.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_gateway.py
+
+# Repository-benchmark smoke: perfbench's self-tests, then one short
+# traced run of each BENCHMARK.json workload (seed 1).  A run fails the
+# target unless it exits 0 and its result line (the last stdout line)
+# reports "failed": 0.  Entries are workload:seconds.
+PERFBENCH_SMOKE_RUNS = fleet-orchard:6 surveillance-recorded:6 perception-served:10
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q
+	@for run in $(PERFBENCH_SMOKE_RUNS); do \
+		workload=$${run%%:*}; seconds=$${run##*:}; \
+		echo "perfbench-smoke: $$workload --seconds $$seconds --trace 1"; \
+		out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds $$seconds --trace 1) || exit 1; \
+		result=$$(printf '%s\n' "$$out" | tail -n 1); \
+		echo "$$result"; \
+		case "$$result" in \
+			*'"failed": 0,'*) ;; \
+			*) echo "perfbench-smoke: $$workload reported failures"; exit 1 ;; \
+		esac; \
+	done
 
 # Flight-recorder smoke: record a small fleet run, replay it (byte
 # compare), and self-diff the fresh recording against the original —

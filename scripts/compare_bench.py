@@ -14,16 +14,9 @@ nightly run) and
   artifact;
 * **fails on enforced-SLO violations**: any fresh-artifact section
   that declares ``"gate_enforced": true`` (e.g. the latency-SLO
-  section of ``bench_gateway.py``, or the ``pipelined`` executor
-  section of ``bench_fleet.py``) must have every other boolean in
+  section of ``bench_gateway.py``) must have every other boolean in
   that section ``true`` — smoke runs write ``gate_enforced: false``
-  and are exempt.  The ``pipelined`` section additionally waives its
-  speedup gate on single-core hosts (``cpu_count`` is recorded in the
-  artifact): thread pipelining cannot beat sync without a second core,
-  so only the relaxed-contract invariants (``verdict_parity``,
-  ``negotiation_parity``, ``escalation_parity``) are load-bearing
-  there — and those are covered by the parity rule above regardless of
-  core count;
+  and are exempt;
 * **fails on lost pipeline stages**: every dataflow node named in a
   baseline artifact's ``nodes.nodes`` section (the per-stage metrics
   ``bench_fleet.py`` rolls up from the fleet pipeline graph) must still
@@ -174,10 +167,7 @@ def trend_table(results: list[tuple[str, dict, dict]]) -> str:
     )
     note = (
         "\nFresh smoke runs use reduced sizes — the trend column is "
-        "informational; parity fields are the gate.  The `pipelined.speedup` "
-        "row depends on host core count (its gate only applies on "
-        "multi-core hosts; see `gate_enforced`/`cpu_count` in the "
-        "artifact).\n"
+        "informational; parity fields are the gate.\n"
     )
     return header + "\n".join(rows) + "\n" + note
 

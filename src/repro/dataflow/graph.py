@@ -9,11 +9,8 @@ so one tick moves data the whole length of the pipeline, and a fleet
 tick stays a single deterministic sweep (the migration contract: a
 graph-scheduled fleet replays the legacy lockstep loop byte-for-byte).
 
-The executor is deliberately *schedule-synchronous but
-placement-agnostic*: nodes communicate only through channels, so a
-stage can later run in a thread, a worker process, or behind the
-recognition service without its neighbours changing — only this
-executor (and the channel transport) knows where a node runs.
+Nodes communicate only through channels, so a stage's neighbours
+never depend on where it runs — only the executor knows that.
 
 Flow control and failure:
 
@@ -23,18 +20,21 @@ Flow control and failure:
   :class:`~repro.dataflow.node.NodeStats.stalled_ticks`);
 * a full ``DROP`` channel sheds the overflow and counts it;
 * a node raising mid-tick **fails the graph loudly**: the error is
-  re-raised as :class:`NodeFailure` naming the node, and the graph
-  drains every channel and closes every node first, so owned resources
-  are always released (:meth:`Graph.close` is idempotent and also runs
-  on context-manager exit).
+  re-raised as :class:`NodeFailure` naming the node and tick, and the
+  graph drains every channel and closes every node first, so owned
+  resources are always released (:meth:`Graph.close` is idempotent and
+  also runs on context-manager exit).  Errors from those ``close()``
+  calls never mask the failure: they ride on
+  :attr:`NodeFailure.close_error`.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro.dataflow.channel import Channel, ChannelPolicy, ChannelStats
-from repro.dataflow.node import Node, NodeStats, timed_call
+from repro.dataflow.node import Node, NodeStats
 
 __all__ = [
     "Graph",
@@ -49,7 +49,12 @@ class GraphError(RuntimeError):
 
 
 class NodeFailure(RuntimeError):
-    """A node raised during :meth:`Graph.tick`; names the node."""
+    """A node raised during :meth:`Graph.tick`; names the node.
+
+    ``__cause__`` is the node's exception.  ``close_error`` is the
+    :class:`GraphError` raised while closing the failed graph, if any
+    node's ``close()`` also raised (``None`` otherwise).
+    """
 
     def __init__(self, node_name: str, tick: int, cause: BaseException) -> None:
         super().__init__(
@@ -58,6 +63,7 @@ class NodeFailure(RuntimeError):
         )
         self.node_name = node_name
         self.tick = tick
+        self.close_error: GraphError | None = None
 
 
 @dataclass(frozen=True)
@@ -194,34 +200,15 @@ class Graph:
                 raise GraphError(
                     f"input port {sink.name}.{dst_port} is already connected"
                 )
-        channel = self._make_channel(
+        channel = Channel(
             name=f"{source.name}.{src_port}->{sink.name}.{dst_port}",
             capacity=capacity,
             policy=policy,
             dtype=in_port.dtype,
-            src=source,
-            dst=sink,
         )
         self._edges.append(_Edge(source, src_port, sink, dst_port, channel))
         self._order = None
         return channel
-
-    def _make_channel(
-        self,
-        name: str,
-        capacity: int | None,
-        policy: ChannelPolicy,
-        dtype: type,
-        src: Node,
-        dst: Node,
-    ) -> Channel:
-        """Transport-selection hook: build the channel backing one edge.
-
-        The base executor always uses the in-thread :class:`Channel`;
-        :class:`~repro.dataflow.pipelined.PipelinedGraph` overrides this
-        to pick a :class:`~repro.dataflow.transport.ThreadChannel` for
-        edges touching a thread-placed node."""
-        return Channel(name=name, capacity=capacity, policy=policy, dtype=dtype)
 
     def _resolve(self, node: Node | str) -> Node:
         if isinstance(node, str):
@@ -313,14 +300,13 @@ class Graph:
         """One node's share of a scheduler sweep: flush refused output,
         drain inputs, process, emit.  Returns the items consumed (0 for
         a stalled or idle node); a node exception closes the graph and
-        re-raises as :class:`NodeFailure`.  Shared with the pipelined
-        executor, which sweeps only its inline nodes this way."""
+        re-raises as :class:`NodeFailure`."""
         stalled = False
         for edge in self._edges:
             if edge.src is node and not edge.flush():
                 stalled = True
         if stalled:
-            node.metrics.record_stall()
+            node.metrics.stalled_ticks += 1
             return 0
         inputs = {port.name: [] for port in node.inputs}
         for edge in self._edges:
@@ -329,13 +315,19 @@ class Graph:
         items_in = sum(len(items) for items in inputs.values())
         if not node.is_source and items_in == 0:
             return 0
+        started = time.perf_counter()
         try:
-            outputs, elapsed = timed_call(lambda: node.process(inputs))
+            outputs = node.process(inputs)
         except Exception as exc:
-            failure = self._to_failure(node, exc)
+            failure = NodeFailure(node.name, self._ticks, exc)
             self._failed = failure
-            self.close()
+            try:
+                self.close()
+            except GraphError as close_error:
+                failure.close_error = close_error
+                failure.add_note(str(close_error))
             raise failure from exc
+        elapsed = time.perf_counter() - started
         outputs = outputs or {}
         items_out = 0
         for port_name, items in outputs.items():
@@ -349,15 +341,6 @@ class Graph:
         if self._tap is not None:
             self._tap(self._ticks, node, inputs, outputs, items_in, items_out)
         return items_in
-
-    def _to_failure(self, node: Node, exc: BaseException) -> NodeFailure:
-        """Map a node exception onto the :class:`NodeFailure` to raise.
-
-        Hook for the pipelined executor: when an inline node fails
-        *because* a worker thread already failed (e.g. it was waiting on
-        results a dead worker will never produce), the worker's failure
-        — naming the actual culprit node — takes precedence."""
-        return NodeFailure(node.name, self._ticks, exc)
 
     def drain(self, max_ticks: int = 1000) -> int:
         """Tick until quiescent (no items moved); returns ticks used.

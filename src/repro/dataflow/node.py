@@ -22,8 +22,6 @@ instrumentation.
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -76,13 +74,7 @@ class NodeStats:
 
 
 class NodeMetrics:
-    """Mutable runtime counters behind a node's :class:`NodeStats`.
-
-    Updates and snapshots are lock-guarded: a pipelined executor records
-    a thread-placed node's invocations from its worker thread while the
-    scheduler thread snapshots stats (or the flight recorder reads them
-    mid-run), and neither side may ever see a torn counter set.
-    """
+    """Mutable runtime counters behind a node's :class:`NodeStats`."""
 
     def __init__(self) -> None:
         self.ticks = 0
@@ -91,36 +83,27 @@ class NodeMetrics:
         self.busy_s = 0.0
         self.max_tick_s = 0.0
         self.stalled_ticks = 0
-        self._lock = threading.Lock()
 
     def record(self, items_in: int, items_out: int, elapsed_s: float) -> None:
         """Account one completed :meth:`Node.process` invocation."""
-        with self._lock:
-            self.ticks += 1
-            self.items_in += items_in
-            self.items_out += items_out
-            self.busy_s += elapsed_s
-            self.max_tick_s = max(self.max_tick_s, elapsed_s)
-
-    def record_stall(self) -> None:
-        """Account one tick in which backpressure stalled the node."""
-        with self._lock:
-            self.stalled_ticks += 1
+        self.ticks += 1
+        self.items_in += items_in
+        self.items_out += items_out
+        self.busy_s += elapsed_s
+        self.max_tick_s = max(self.max_tick_s, elapsed_s)
 
     def snapshot(self, name: str, placement: str) -> NodeStats:
-        """Freeze the counters into a :class:`NodeStats` (a consistent
-        snapshot even while another thread is recording)."""
-        with self._lock:
-            return NodeStats(
-                name=name,
-                placement=placement,
-                ticks=self.ticks,
-                items_in=self.items_in,
-                items_out=self.items_out,
-                busy_s=self.busy_s,
-                max_tick_s=self.max_tick_s,
-                stalled_ticks=self.stalled_ticks,
-            )
+        """Freeze the counters into a :class:`NodeStats`."""
+        return NodeStats(
+            name=name,
+            placement=placement,
+            ticks=self.ticks,
+            items_in=self.items_in,
+            items_out=self.items_out,
+            busy_s=self.busy_s,
+            max_tick_s=self.max_tick_s,
+            stalled_ticks=self.stalled_ticks,
+        )
 
 
 class Node:
@@ -235,12 +218,3 @@ class FunctionNode(Node):
     def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
         """Apply the wrapped function to this tick's items."""
         return {"out": list(self._fn(inputs["in"]))}
-
-
-def timed_call(fn: Callable[[], object]) -> tuple[object, float]:
-    """Run *fn* and return ``(result, elapsed_s)`` — the executor's
-    single timing primitive, kept here so alternative executors time
-    nodes identically."""
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started

@@ -169,13 +169,6 @@ class FleetScheduler:
         recognition pass (set ``False`` to measure the unbatched
         scheduler — observations then resolve synchronously inside the
         ``mission`` stage).
-    executor:
-        ``"sync"`` (default) drives the linear tick-synchronous graph —
-        the byte-identical-transcript schedule.  ``"pipelined"`` drives
-        the forked :class:`~repro.dataflow.pipelined.PipelinedGraph`
-        whose render/preprocess/match stages run on worker threads
-        under the relaxed contract; *pipeline_lag* is its
-        deferred-observation depth in ticks.
     service:
         A :class:`~repro.service.RecognitionService` whose lifecycle
         this scheduler *owns* — started by :func:`build_fleet` in the
@@ -212,8 +205,6 @@ class FleetScheduler:
         gateway: RecognitionGateway | None = None,
         owned: Sequence = (),
         recorder=None,
-        executor: str = "sync",
-        pipeline_lag: int = 3,
     ) -> None:
         if not missions:
             raise ValueError("a fleet needs at least one mission")
@@ -223,16 +214,8 @@ class FleetScheduler:
         steps = {m.world.clock.time_step_s for m in missions}
         if len(steps) != 1:
             raise ValueError(f"fleet worlds must share one time step, got {steps}")
-        if recorder is not None and executor == "pipelined":
-            raise ValueError(
-                "flight recording requires the sync executor: the pipelined "
-                "executor's worker-stage telemetry is concurrent, so its "
-                "tick attribution is timing-dependent and a recording would "
-                "not replay byte-identically"
-            )
         self.missions = list(missions)
         self.batch_perception = batch_perception
-        self.executor = executor
         self.service = service
         self.gateway = gateway
         self.owned = tuple(owned)
@@ -248,8 +231,6 @@ class FleetScheduler:
             self.missions,
             batch_perception=batch_perception,
             tap=self._tap.graph_tap if self._tap is not None else None,
-            executor=executor,
-            pipeline_lag=pipeline_lag,
         )
         self._ticks = 0
         self._started = False
@@ -444,8 +425,6 @@ _LEGACY_FLEET_KWARGS = (
     "drone_home",
     "workers",
     "backend",
-    "executor",
-    "pipeline_lag",
     "recorder",
 )
 
@@ -484,18 +463,15 @@ def build_fleet(spec: "FleetSpec | int | None" = None, /, **kwargs) -> FleetSche
     :class:`~repro.mission.spec.FleetSpec`::
 
         build_fleet(FleetSpec(count=16, base_seed=100))
-        build_fleet(FleetSpec(count=16, executor="pipelined"))
 
     Mission ``i`` draws orchard seed ``base_seed + i`` (distinct layout,
     traps and personas), wind ``winds[i % len(winds)]`` (the orchard's
     stochastic wind model is rebuilt at that strength) and lighting
     ``lightings[i % len(lightings)]`` (the photometric settings its
     perception renders under); see :class:`~repro.mission.spec.FleetSpec`
-    for every knob (perception kind, classifier backend, executor,
-    recorder...).  Mission outcomes are identical across classifier
-    backends by the sharding- and gateway-parity contracts, and across
-    executors by the sync/relaxed contract pair documented in
-    ``docs/ARCHITECTURE.md``.
+    for every knob (perception kind, classifier backend, recorder...).
+    Mission outcomes are identical across classifier backends by the
+    sharding- and gateway-parity contracts.
 
     The legacy keyword form (``build_fleet(16, base_seed=100, ...)``)
     is kept as a :class:`DeprecationWarning` shim that builds the
@@ -645,8 +621,6 @@ def _build_fleet_from_spec(spec: FleetSpec) -> FleetScheduler:
             gateway=gateway,
             owned=owned,
             recorder=recorder,
-            executor=spec.executor,
-            pipeline_lag=spec.pipeline_lag,
         )
     except BaseException:
         # Backend resources (worker processes, the gateway thread) were

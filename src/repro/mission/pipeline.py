@@ -28,46 +28,18 @@ scheduler byte-for-byte (golden mission transcripts and
 ``bench_fleet.py`` outcome parity are the enforced contract).  What
 the graph adds is per-node latency and queue-occupancy metrics
 (:meth:`~repro.dataflow.graph.Graph.stats`, surfaced as
-``FleetReport.graph_stats``) and placement freedom: each stage talks
-only to its channels, so any of them can later move to a thread, a
-worker process, or behind the recognition service without the mission
-layer noticing.
-
-**Pipelined executor** (``executor="pipelined"``).  The topology forks
-at ``lookup`` instead of staying linear:
-
-```
-world ─▶ predict ─▶ lookup ─▶ mission            (inline, same tick)
-                        └─▶ render ─▶ preprocess ─▶ match   (threads)
-```
-
-``render``/``preprocess``/``match`` are ``placement="thread"`` nodes
-run by a :class:`~repro.dataflow.pipelined.PipelinedGraph` on worker
-threads, so while the scheduler sweeps tick N+1 the workers are still
-resolving tick N's frames.  Determinism is kept by the *deferred
-observation* handshake on the perception core:
-:class:`PipelinedLookupNode` **claims** each tick's fresh cache misses
-(``observe()`` answers ``None`` for a claimed query — an embargo), and
-**releases** them exactly ``pipeline_lag`` ticks later, blocking until
-the match worker has cached the answers.  Every fresh observation
-therefore resolves exactly ``pipeline_lag`` ticks after it was first
-queried — regardless of thread timing — which is the pipelined
-executor's *relaxed contract*: every query classified by both
-executors resolves to the identical sign, negotiation and escalation
-streams are identical, and observation latency is shifted by at most
-the pipeline depth (see ARCHITECTURE.md "Pipelined execution" for the
-precise statement and what the shift can — legitimately — move).
+``FleetReport.graph_stats``) and one seam per stage: each stage talks
+only to its channels, so a stage can be measured, replaced or moved
+without the mission layer noticing.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.dataflow.graph import Graph
 from repro.dataflow.node import Node, Port
-from repro.dataflow.pipelined import PipelinedGraph
 from repro.protocol.recognizer import ObservationQuery, RecognizerPerception
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
@@ -77,20 +49,15 @@ __all__ = [
     "FleetTick",
     "PerceptionBatch",
     "FLEET_STAGES",
-    "FLEET_EXECUTORS",
     "WorldStepNode",
     "PredictNode",
     "LookupNode",
-    "PipelinedLookupNode",
     "RenderNode",
     "PreprocessNode",
     "MatchNode",
     "MissionTickNode",
     "build_fleet_graph",
 ]
-
-#: The executors a fleet graph can be built for.
-FLEET_EXECUTORS = ("sync", "pipelined")
 
 #: The pipeline stages in wire order (also the DOT/metrics ordering).
 FLEET_STAGES = (
@@ -227,106 +194,14 @@ class LookupNode(Node):
         return {"ticks": inputs["ticks"]}
 
 
-class PipelinedLookupNode(Node):
-    """Lookup stage of the pipelined executor: claim, fork, release.
-
-    Like :class:`LookupNode` it reduces each batch to its deduplicated
-    cache misses — but instead of letting the downstream stages resolve
-    them *this* tick, it **claims** them on the perception core
-    (embargoing their answers; see
-    :meth:`~repro.protocol.recognizer.RecognizerPerception.claim_misses`)
-    and forwards the work to the thread-placed recognition stages on its
-    ``misses`` port while the tick token continues inline to ``mission``.
-    Claims made on tick ``T`` are **released** while processing tick
-    ``T + pipeline_lag``, after blocking until the match worker has
-    cached every answer — so a fresh observation resolves exactly
-    ``pipeline_lag`` ticks after it was queried, independent of thread
-    timing.  Per-frame (scalar-reference) cores still resolve inline
-    right here, and a non-memoising core has no cache to fill, so its
-    observations resolve inline in the ``mission`` stage exactly as in
-    the synchronous schedule.
-
-    Parameters
-    ----------
-    pipeline_lag:
-        Ticks between claiming a miss and releasing its answer (>= 1).
-    abort:
-        The pipelined graph's failure event: waiting for a dead
-        pipeline raises instead of blocking forever.
-    await_timeout_s:
-        Hard upper bound on one release's wait (safety net).
-    """
-
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick), Port("misses", FleetTick))
-
-    def __init__(
-        self,
-        pipeline_lag: int = 3,
-        abort=None,
-        await_timeout_s: float = 60.0,
-        name: str = "lookup",
-    ) -> None:
-        super().__init__(name)
-        if pipeline_lag < 1:
-            raise ValueError("pipeline_lag must be >= 1")
-        self.pipeline_lag = int(pipeline_lag)
-        self._abort = abort
-        self._await_timeout_s = await_timeout_s
-        self._claims: deque = deque()  # (tick_index, perception, queries)
-
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
-        """Release matured claims, then claim this tick's fresh misses."""
-        out_ticks: list[FleetTick] = []
-        out_misses: list[FleetTick] = []
-        for tick in inputs["ticks"]:
-            self._release_matured(tick.index)
-            for batch in tick.batches:
-                if batch.perception.per_frame:
-                    batch.perception.prefetch(batch.queries)
-                    batch.misses = []
-                elif batch.perception.deferred:
-                    batch.misses = batch.perception.claim_misses(batch.queries)
-                    if batch.misses:
-                        self._claims.append(
-                            (tick.index, batch.perception, batch.misses)
-                        )
-                else:
-                    batch.misses = []  # no cache to fill; observe() is inline
-            tick.batches = [b for b in tick.batches if b.misses]
-            out_ticks.append(tick)
-            if tick.batches:
-                out_misses.append(
-                    FleetTick(index=tick.index, missions=(), batches=tick.batches)
-                )
-        return {"ticks": out_ticks, "misses": out_misses}
-
-    def _release_matured(self, current_index: int) -> None:
-        """Release every claim that is ``pipeline_lag`` ticks old,
-        waiting (bounded, abortable) for the match worker to cache it."""
-        while self._claims and self._claims[0][0] <= current_index - self.pipeline_lag:
-            index, perception, queries = self._claims.popleft()
-            resolved = perception.await_resolved(
-                queries, abort=self._abort, timeout_s=self._await_timeout_s
-            )
-            if not resolved:
-                raise RuntimeError(
-                    f"pipelined recognition stages never resolved "
-                    f"{len(queries)} quer"
-                    f"{'y' if len(queries) == 1 else 'ies'} claimed on "
-                    f"fleet tick {index}"
-                )
-            perception.release_claims(queries)
-
-
 class RenderNode(Node):
     """Render every missed query's frame (the ``render`` budget stage)."""
 
     inputs = (Port("ticks", FleetTick),)
     outputs = (Port("ticks", FleetTick),)
 
-    def __init__(self, name: str = "render", placement: str = "inline") -> None:
-        super().__init__(name, placement=placement)
+    def __init__(self, name: str = "render") -> None:
+        super().__init__(name)
 
     def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
         """Render this tick's cache-missed queries."""
@@ -343,8 +218,8 @@ class PreprocessNode(Node):
     inputs = (Port("ticks", FleetTick),)
     outputs = (Port("ticks", FleetTick),)
 
-    def __init__(self, name: str = "preprocess", placement: str = "inline") -> None:
-        super().__init__(name, placement=placement)
+    def __init__(self, name: str = "preprocess") -> None:
+        super().__init__(name)
 
     def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
         """Preprocess this tick's rendered frames."""
@@ -364,8 +239,8 @@ class MatchNode(Node):
     inputs = (Port("ticks", FleetTick),)
     outputs = (Port("ticks", FleetTick),)
 
-    def __init__(self, name: str = "match", placement: str = "inline") -> None:
-        super().__init__(name, placement=placement)
+    def __init__(self, name: str = "match") -> None:
+        super().__init__(name)
 
     def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
         """Match this tick's preprocessed queries into the caches."""
@@ -406,83 +281,30 @@ def build_fleet_graph(
     batch_perception: bool = True,
     channel_capacity: int = 2,
     tap=None,
-    executor: str = "sync",
-    pipeline_lag: int = 3,
 ) -> Graph:
     """Wire the seven-stage fleet pipeline over *missions*.
 
-    With ``executor="sync"`` (the default) this returns a validated
-    :class:`~repro.dataflow.graph.Graph` with the linear topology whose
-    nodes are named after :data:`FLEET_STAGES` and whose channels all
-    carry :class:`FleetTick` under backpressure (``BLOCK`` policy) —
-    the byte-identical-transcript schedule the graph
-    :class:`~repro.mission.fleet.FleetScheduler` drives.  *tap* is the
-    per-node observability hook forwarded to the graph (the flight
-    recorder's read-only attachment point).
-
-    With ``executor="pipelined"`` it returns a
-    :class:`~repro.dataflow.pipelined.PipelinedGraph` with the forked
-    topology (see the module docstring): ``render``/``preprocess``/
-    ``match`` become thread-placed worker stages fed from
-    :class:`PipelinedLookupNode`'s ``misses`` port, every memoising
-    batched perception core is switched into deferred observation mode,
-    and fresh observations resolve exactly *pipeline_lag* ticks after
-    they are first queried (the relaxed contract).  Requires
-    ``batch_perception=True`` — there is nothing to pipeline without
-    the batched recognition pass.
+    Returns a validated :class:`~repro.dataflow.graph.Graph` with the
+    linear topology whose nodes are named after :data:`FLEET_STAGES`
+    and whose channels all carry :class:`FleetTick` under backpressure
+    (``BLOCK`` policy) — the byte-identical-transcript schedule the
+    graph :class:`~repro.mission.fleet.FleetScheduler` drives.  *tap*
+    is the per-node observability hook forwarded to the graph (the
+    flight recorder's read-only attachment point).
     """
-    if executor not in FLEET_EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {FLEET_EXECUTORS}"
-        )
-    if executor == "sync":
-        graph = Graph(name="fleet", tap=tap)
-        nodes = [
-            WorldStepNode(missions),
-            PredictNode(batch_perception=batch_perception),
-            LookupNode(),
-            RenderNode(),
-            PreprocessNode(),
-            MatchNode(),
-            MissionTickNode(),
-        ]
-        for node in nodes:
-            graph.add(node)
-        for src, dst in zip(nodes, nodes[1:]):
-            graph.connect(src, "ticks", dst, "ticks", capacity=channel_capacity)
-        graph.validate()
-        return graph
-    if not batch_perception:
-        raise ValueError(
-            "executor='pipelined' requires batch_perception=True — there is "
-            "nothing to pipeline without the batched recognition pass"
-        )
-    graph = PipelinedGraph(name="fleet", tap=tap)
-    world = graph.add(WorldStepNode(missions))
-    predict = graph.add(PredictNode(batch_perception=True))
-    lookup = graph.add(
-        PipelinedLookupNode(pipeline_lag=pipeline_lag, abort=graph.abort_event)
-    )
-    render = graph.add(RenderNode(placement="thread"))
-    preprocess = graph.add(PreprocessNode(placement="thread"))
-    match = graph.add(MatchNode(placement="thread"))
-    mission = graph.add(MissionTickNode())
-    graph.connect(world, "ticks", predict, "ticks", capacity=channel_capacity)
-    graph.connect(predict, "ticks", lookup, "ticks", capacity=channel_capacity)
-    graph.connect(lookup, "ticks", mission, "ticks", capacity=channel_capacity)
-    graph.connect(lookup, "misses", render, "ticks", capacity=channel_capacity)
-    graph.connect(render, "ticks", preprocess, "ticks", capacity=channel_capacity)
-    graph.connect(preprocess, "ticks", match, "ticks", capacity=channel_capacity)
-    deferred_cores: set[int] = set()
-    for fleet_mission in missions:
-        perception = fleet_mission.perception
-        if (
-            isinstance(perception, RecognizerPerception)
-            and not perception.per_frame
-            and perception.memoize
-            and perception.core_key not in deferred_cores
-        ):
-            deferred_cores.add(perception.core_key)
-            perception.enable_deferred()
+    graph = Graph(name="fleet", tap=tap)
+    nodes = [
+        WorldStepNode(missions),
+        PredictNode(batch_perception=batch_perception),
+        LookupNode(),
+        RenderNode(),
+        PreprocessNode(),
+        MatchNode(),
+        MissionTickNode(),
+    ]
+    for node in nodes:
+        graph.add(node)
+    for src, dst in zip(nodes, nodes[1:]):
+        graph.connect(src, "ticks", dst, "ticks", capacity=channel_capacity)
     graph.validate()
     return graph

@@ -434,8 +434,6 @@ _LEGACY_SURVEILLANCE_KWARGS = (
     "challenge_config",
     "batch_perception",
     "workers",
-    "executor",
-    "pipeline_lag",
     "recorder",
 )
 
@@ -602,8 +600,6 @@ def _build_surveillance_fleet_from_spec(spec: FleetSpec) -> FleetScheduler:
             batch_perception=spec.batch_perception,
             service=service,
             recorder=recorder,
-            executor=spec.executor,
-            pipeline_lag=spec.pipeline_lag,
         )
     except BaseException:
         if service is not None:

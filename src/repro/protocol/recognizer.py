@@ -46,8 +46,6 @@ reference used by the envelope benchmarks) it is built to sit inside a
 from __future__ import annotations
 
 import math
-import threading
-import time
 import warnings
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, field
@@ -244,17 +242,7 @@ class PerceptionStats:
 
 class _PerceptionCore:
     """State shared by every view of one perception: recogniser, cache,
-    cumulative budget and counters.
-
-    Cache and in-flight bookkeeping are guarded by one re-entrant lock:
-    under the pipelined fleet executor the match stage fills the cache
-    from a worker thread while the scheduler thread looks queries up,
-    and in *deferred* mode the scheduler additionally tracks a set of
-    claimed-but-unreleased queries (see :meth:`claim_misses`) whose
-    answers stay embargoed until the pipeline formally releases them —
-    which is what makes pipelined observation latency an exact,
-    deterministic number of ticks rather than a race.
-    """
+    cumulative budget and counters."""
 
     def __init__(
         self,
@@ -281,22 +269,15 @@ class _PerceptionCore:
         self.cache_hits = 0
         self.frames_classified = 0
         self.batch_calls = 0
-        # Guards cache + inflight; `resolved` is notified whenever the
-        # match stage fills cache entries (see _finish).
-        self.lock = threading.RLock()
-        self.resolved = threading.Condition(self.lock)
-        self.inflight: set[ObservationQuery] = set()
-        self.deferred = False
 
     # -- classification -------------------------------------------------------------
 
     def lookup(self, query: ObservationQuery) -> tuple[bool, MarshallingSign | None]:
         """Return ``(hit, sign)`` for *query* from the LRU cache."""
-        with self.lock:
-            if not self.memoize or query not in self.cache:
-                return False, None
-            self.cache.move_to_end(query)
-            return True, self.cache[query]
+        if not self.memoize or query not in self.cache:
+            return False, None
+        self.cache.move_to_end(query)
+        return True, self.cache[query]
 
     def miss_filter(
         self, queries: Sequence[ObservationQuery | None]
@@ -309,87 +290,16 @@ class _PerceptionCore:
         """
         if not self.memoize:
             return []
-        with self.lock:
-            misses: list[ObservationQuery] = []
-            seen: set[ObservationQuery] = set()
-            for query in queries:
-                if query is None or query in seen:
-                    continue
-                seen.add(query)
-                hit, _ = self.lookup(query)
-                if not hit:
-                    misses.append(query)
-            return misses
-
-    # -- deferred (pipelined) observation -------------------------------------------
-
-    def enable_deferred(self) -> None:
-        """Switch the core into deferred observation mode.
-
-        In deferred mode :meth:`RecognizerPerception.observe` answers
-        ``None`` for any query currently *claimed* by the pipeline (a
-        fresh sign reads like a not-yet-understood sign until the
-        pipelined stages resolve it) instead of classifying inline.
-        Requires memoisation (the pipeline's answers arrive through the
-        cache) and the batched pipeline (``per_frame`` resolves inline).
-        """
-        if not self.memoize:
-            raise ValueError("deferred observation requires memoize=True")
-        if self.per_frame:
-            raise ValueError("deferred observation requires the batched pipeline")
-        self.deferred = True
-
-    def claim_misses(
-        self, queries: Sequence[ObservationQuery | None]
-    ) -> list[ObservationQuery]:
-        """Deferred-mode seam: claim this tick's fresh cache misses.
-
-        Returns the deduplicated misses of *queries* that are not
-        already in flight, marking them in flight — from this moment
-        :meth:`RecognizerPerception.observe` embargoes their answers
-        until :meth:`release` (even if the worker caches them earlier),
-        so resolution latency is exact in ticks, not thread timing.
-        """
-        with self.lock:
-            claimed = []
-            for query in self.miss_filter(queries):
-                if query not in self.inflight:
-                    self.inflight.add(query)
-                    claimed.append(query)
-            return claimed
-
-    def await_resolved(
-        self,
-        queries: Sequence[ObservationQuery],
-        abort: "threading.Event | None" = None,
-        timeout_s: float | None = None,
-    ) -> bool:
-        """Block until every query in *queries* has a cached answer.
-
-        Returns ``True`` when all are resolved, ``False`` on *abort*
-        (e.g. the pipelined graph's failure event) or *timeout_s* —
-        callers treat ``False`` as "the pipeline is dead" and bail out
-        rather than waiting forever.
-        """
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
-        with self.resolved:
-            while True:
-                if all(query in self.cache for query in queries):
-                    return True
-                if abort is not None and abort.is_set():
-                    return False
-                if deadline is not None and time.monotonic() >= deadline:
-                    return False
-                self.resolved.wait(0.05)
-
-    def release(self, queries: Sequence[ObservationQuery]) -> None:
-        """Deferred-mode seam: lift the embargo on *queries* — their
-        cached answers become visible to :meth:`observe`."""
-        with self.lock:
-            for query in queries:
-                self.inflight.discard(query)
+        misses: list[ObservationQuery] = []
+        seen: set[ObservationQuery] = set()
+        for query in queries:
+            if query is None or query in seen:
+                continue
+            seen.add(query)
+            hit, _ = self.lookup(query)
+            if not hit:
+                misses.append(query)
+        return misses
 
     def classify(self, queries: Sequence[ObservationQuery]) -> list[MarshallingSign | None]:
         """Render and classify *queries* (already deduplicated misses).
@@ -462,8 +372,7 @@ class _PerceptionCore:
         with self.budget.stage("classify"):
             with self.budget.substage("sax_match"):
                 matches = iter(classifier(usable) if usable else [])
-            with self.lock:
-                self.batch_calls += 1
+            self.batch_calls += 1
         signs: list[MarshallingSign | None] = []
         for pre in pres:
             signs.append(_label_to_sign(next(matches).label) if pre.ok else None)
@@ -474,20 +383,14 @@ class _PerceptionCore:
         queries: Sequence[ObservationQuery],
         signs: list[MarshallingSign | None],
     ) -> list[MarshallingSign | None]:
-        """Account classified frames and fill the LRU cache.
-
-        Runs under the core lock (the pipelined match worker fills the
-        cache while the scheduler thread looks queries up) and notifies
-        :meth:`await_resolved` waiters."""
-        with self.lock:
-            self.frames_classified += len(queries)
-            self.budget.frame_count = max(1, self.frames_classified)
-            if self.memoize:
-                for query, sign in zip(queries, signs):
-                    self.cache[query] = sign
-                while len(self.cache) > self.max_cache_entries:
-                    self.cache.popitem(last=False)
-            self.resolved.notify_all()
+        """Account classified frames and fill the LRU cache."""
+        self.frames_classified += len(queries)
+        self.budget.frame_count = max(1, self.frames_classified)
+        if self.memoize:
+            for query, sign in zip(queries, signs):
+                self.cache[query] = sign
+            while len(self.cache) > self.max_cache_entries:
+                self.cache.popitem(last=False)
         return signs
 
     def _fold_substages(self, results) -> None:
@@ -674,31 +577,13 @@ class RecognizerPerception:
     # -- Perception protocol ----------------------------------------------------------
 
     def observe(self, drone_position: Vec3, human: HumanAgent) -> MarshallingSign | None:
-        """Read the human's sign through the full batched pipeline.
-
-        In deferred (pipelined) mode a query the pipeline has claimed
-        but not yet released reads ``None`` — the observer behaves as if
-        the sign is not yet understood for exactly the pipeline depth in
-        ticks, which is the pipelined executor's relaxed-latency
-        contract.  A deferred-mode miss that was never claimed (e.g. the
-        predict stage did not anticipate this pose) falls back to inline
-        classification so no observation can block forever.
-        """
+        """Read the human's sign through the full batched pipeline."""
         core = self._core
         core.observations += 1
         query = self.query(drone_position, human)
         if query is None:
             core.gated += 1
             return None
-        if core.deferred:
-            with core.lock:
-                if query in core.inflight:
-                    return None  # embargoed until the pipeline releases it
-                hit, sign = core.lookup(query)
-            if hit:
-                core.cache_hits += 1
-                return sign
-            return core.classify([query])[0]
         hit, sign = core.lookup(query)
         if hit:
             core.cache_hits += 1
@@ -733,11 +618,6 @@ class RecognizerPerception:
         """``True`` in the scalar per-frame reference mode (no batching)."""
         return self._core.per_frame
 
-    @property
-    def memoize(self) -> bool:
-        """``True`` when classification results are cached (shared)."""
-        return self._core.memoize
-
     def pending_misses(
         self, queries: Sequence[ObservationQuery | None]
     ) -> list[ObservationQuery]:
@@ -764,40 +644,6 @@ class RecognizerPerception:
         service-backed)."""
         return self._core.match_preprocessed(misses, pres)
 
-    # -- deferred-mode seams (pipelined executor) -----------------------------------
-
-    @property
-    def deferred(self) -> bool:
-        """``True`` once the core runs in deferred observation mode."""
-        return self._core.deferred
-
-    def enable_deferred(self) -> None:
-        """Switch the shared core into deferred observation mode (see
-        :meth:`_PerceptionCore.enable_deferred`); done once by the
-        pipelined fleet builder, affects every view of the core."""
-        self._core.enable_deferred()
-
-    def claim_misses(
-        self, queries: Sequence[ObservationQuery | None]
-    ) -> list[ObservationQuery]:
-        """Node seam: claim this tick's fresh misses for the pipeline
-        (their answers are embargoed until :meth:`release_claims`)."""
-        return self._core.claim_misses(queries)
-
-    def await_resolved(
-        self,
-        queries: Sequence[ObservationQuery],
-        abort: "threading.Event | None" = None,
-        timeout_s: float | None = None,
-    ) -> bool:
-        """Node seam: block until the pipeline cached every query in
-        *queries* (``False`` on abort/timeout — the pipeline died)."""
-        return self._core.await_resolved(queries, abort=abort, timeout_s=timeout_s)
-
-    def release_claims(self, queries: Sequence[ObservationQuery]) -> None:
-        """Node seam: lift the embargo on resolved queries."""
-        self._core.release(queries)
-
     def peek(self, query: ObservationQuery) -> tuple[bool, MarshallingSign | None]:
         """Read *query*'s cached verdict without disturbing the cache.
 
@@ -805,11 +651,10 @@ class RecognizerPerception:
         order nor bumps any counter — the flight recorder's
         zero-intrusion read of what ``match`` just resolved.
         """
-        core = self._core
-        with core.lock:
-            if query in core.cache:
-                return True, core.cache[query]
-            return False, None
+        cache = self._core.cache
+        if query in cache:
+            return True, cache[query]
+        return False, None
 
     # -- reporting ----------------------------------------------------------------------
 

@@ -54,8 +54,6 @@ _ALLOWED_KEYS = {
             "per_frame",
             "workers",
             "backend",
-            "executor",
-            "pipeline_lag",
         }
     ),
     "surveillance": frozenset(
@@ -72,8 +70,6 @@ _ALLOWED_KEYS = {
             "challenge_config",
             "batch_perception",
             "workers",
-            "executor",
-            "pipeline_lag",
         }
     ),
 }

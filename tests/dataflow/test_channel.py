@@ -53,7 +53,9 @@ class TestCapacityAndPolicy:
         channel = Channel("c", capacity=2, policy=ChannelPolicy.DROP)
         refused = channel.extend_offer([1, 2, 3, 4])
         assert refused == []  # DROP always consumes
-        assert channel.stats.drops == 2
+        stats = channel.stats
+        # each offered item is counted exactly once: buffered or shed
+        assert (stats.puts, stats.drops, stats.refusals) == (2, 2, 0)
         assert channel.drain() == [1, 2]  # oldest survive
 
     def test_zero_capacity_block_refuses_everything(self):
@@ -113,3 +115,14 @@ class TestClear:
         assert channel.clear() == 3
         assert channel.empty
         assert channel.stats.gets == 0
+
+    def test_buffered_items_stay_in_order_until_cleared(self):
+        channel = Channel("c", capacity=4)
+        channel.extend_offer(["a", "b", "c"])
+        assert channel.get() == "a"
+        channel.put("d")
+        assert channel.clear() == 3  # "b", "c", "d" were still buffered
+        channel.put("e")  # a cleared channel keeps working
+        assert channel.drain() == ["e"]
+        stats = channel.stats
+        assert (stats.puts, stats.gets, stats.high_water) == (5, 2, 3)

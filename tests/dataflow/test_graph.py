@@ -259,6 +259,26 @@ class TestFailure:
         assert sink.close_calls == 1
         assert all(c.occupancy == 0 for c in graph.stats().channels)
 
+    def test_close_errors_do_not_mask_the_node_failure(self):
+        class BadCloseNode(FailNode):
+            def process(self, inputs):
+                raise ValueError("bad frame")
+
+            def close(self):
+                super().close()
+                raise OSError("close failed")
+
+        sink = CollectNode()
+        graph = linear(BurstNode([1]), BadCloseNode(name="bad"), sink)
+        with pytest.raises(NodeFailure, match="node 'bad' failed on graph tick 0") as info:
+            graph.tick()
+        failure = info.value
+        assert isinstance(failure.__cause__, ValueError)
+        assert isinstance(failure.close_error, GraphError)
+        assert "OSError: close failed" in str(failure.close_error)
+        assert graph.closed
+        assert sink.close_calls == 1  # the other nodes still closed
+
     def test_ticking_a_failed_graph_raises(self):
         graph, _, _ = self.build_failing()
         with pytest.raises(NodeFailure):

@@ -57,7 +57,6 @@ class TestValidation:
     def test_defaults(self):
         spec = FleetSpec(count=4)
         assert spec.base_seed == 0
-        assert spec.executor == "sync"
         assert spec.backend == "auto"
         assert spec.drone_home == DEFAULT_DRONE_HOME
         assert spec.winds == tuple(DEFAULT_WINDS)
@@ -69,10 +68,6 @@ class TestValidation:
             (dict(count=0), "at least one mission"),
             (dict(count=1, workers=-1), "non-negative"),
             (dict(count=1, backend="cluster"), "unknown backend"),
-            (dict(count=1, executor="async"), "unknown executor"),
-            (dict(count=1, executor="pipelined", batch_perception=False), "batch_perception"),
-            (dict(count=1, executor="pipelined", recorder=object()), "flight recorder"),
-            (dict(count=1, pipeline_lag=0), "pipeline_lag"),
             (dict(count=1, intruders=-1), "non-negative"),
             (dict(count=1, burst_spacing_s=-0.1), "non-negative"),
             (dict(count=1, laps=0), "at least one lap"),
@@ -188,13 +183,6 @@ class TestSpecFieldRouting:
         finally:
             trap.close()
             guard.close()
-
-    def test_executor_routes_to_scheduler(self):
-        fleet = build_fleet(FleetSpec(count=1, config=SMALL, executor="pipelined"))
-        try:
-            assert fleet.executor == "pipelined"
-        finally:
-            fleet.close()
 
     def test_surveillance_ignores_trap_only_fields(self):
         # perception/per_frame/backend are trap-fleet knobs; the guard
