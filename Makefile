@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-service bench-longtail bench-gateway bench-smoke perfbench-smoke flight-smoke fuzz check
+.PHONY: test lint docs-check coverage bench-throughput bench-dynamic bench-fleet bench-service bench-longtail bench-gateway bench-smoke perfbench-smoke flight-smoke examples fuzz check
 
 # Everything the ruff gate covers — named explicitly so benchmarks/ and
 # scripts/ can never silently drop out of the lint surface.  Update when
@@ -98,6 +98,14 @@ bench-smoke:
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_service.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_longtail.py
 	BENCH_SMOKE=1 $(PYTHON) benchmarks/bench_gateway.py
+
+# Run every example script with DeprecationWarning as an error, so an
+# example still calling a removed API fails here (CI bench-smoke job).
+examples:
+	@for example in examples/*.py; do \
+		echo "examples: $$example"; \
+		$(PYTHON) -W error::DeprecationWarning $$example || exit 1; \
+	done
 
 # Repository-benchmark smoke: perfbench's self-tests, then one short
 # traced run of each BENCHMARK.json workload (seed 1).  A run fails the

@@ -40,7 +40,6 @@ varies layout, traps and personas.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
@@ -410,57 +409,17 @@ class FleetScheduler:
         return report
 
 
-#: Legacy keyword names accepted by the :func:`build_fleet` shim, in
-#: the order of the pre-spec signature.  ``negotiation_config`` maps to
-#: :attr:`FleetSpec.negotiation`.
-_LEGACY_FLEET_KWARGS = (
-    "base_seed",
-    "config",
-    "perception",
-    "winds",
-    "lightings",
-    "negotiation_config",
-    "batch_perception",
-    "per_frame",
-    "drone_home",
-    "workers",
-    "backend",
-    "recorder",
-)
-
-
-def _legacy_spec(count, kwargs, builder: str, allowed, renames) -> FleetSpec:
-    """Build a :class:`FleetSpec` from a legacy keyword call, warning.
-
-    *renames* maps legacy keyword names onto spec field names (e.g.
-    ``negotiation_config`` → ``negotiation``).  Unknown keywords raise
-    ``TypeError`` exactly like the old signatures would.
-    """
-    if count is None and "count" in kwargs:
-        count = kwargs.pop("count")
-    if count is None:
-        raise TypeError(f"{builder}() missing required argument: 'count'")
-    unknown = set(kwargs) - set(allowed)
-    if unknown:
+def _require_spec(spec: Any, builder: str) -> None:
+    """Raise ``TypeError`` naming :class:`FleetSpec` unless *spec* is one."""
+    if not isinstance(spec, FleetSpec):
         raise TypeError(
-            f"{builder}() got unexpected keyword argument(s) {sorted(unknown)}"
+            f"{builder}() takes a single repro.mission.FleetSpec, "
+            f"got {type(spec).__name__}"
         )
-    warnings.warn(
-        f"{builder}(count, ...) legacy keyword arguments are deprecated; "
-        f"pass a single repro.mission.FleetSpec instead "
-        f"(e.g. {builder}(FleetSpec(count={count!r}, ...)))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    fields = {renames.get(key, key): value for key, value in kwargs.items()}
-    return FleetSpec(count=count, **fields)
 
 
-def build_fleet(spec: "FleetSpec | int | None" = None, /, **kwargs) -> FleetScheduler:
-    """Build a ready-to-run fleet of trap-reading missions.
-
-    The one supported calling convention is a single
-    :class:`~repro.mission.spec.FleetSpec`::
+def build_fleet(spec: FleetSpec, /) -> FleetScheduler:
+    """Build a ready-to-run fleet of trap-reading missions::
 
         build_fleet(FleetSpec(count=16, base_seed=100))
 
@@ -472,31 +431,8 @@ def build_fleet(spec: "FleetSpec | int | None" = None, /, **kwargs) -> FleetSche
     for every knob (perception kind, classifier backend, recorder...).
     Mission outcomes are identical across classifier backends by the
     sharding- and gateway-parity contracts.
-
-    The legacy keyword form (``build_fleet(16, base_seed=100, ...)``)
-    is kept as a :class:`DeprecationWarning` shim that builds the
-    equivalent spec — it produces an identical fleet (the contract test
-    asserts this) and will be removed in a future release.
     """
-    if isinstance(spec, FleetSpec):
-        if kwargs:
-            raise TypeError(
-                "pass either a FleetSpec or legacy keyword arguments, not both"
-            )
-        return _build_fleet_from_spec(spec)
-    return _build_fleet_from_spec(
-        _legacy_spec(
-            spec,
-            kwargs,
-            builder="build_fleet",
-            allowed=_LEGACY_FLEET_KWARGS,
-            renames={"negotiation_config": "negotiation"},
-        )
-    )
-
-
-def _build_fleet_from_spec(spec: FleetSpec) -> FleetScheduler:
-    """Construct the trap-reading fleet described by *spec*."""
+    _require_spec(spec, "build_fleet")
     perception = spec.perception
     workers = spec.workers
     backend = spec.backend

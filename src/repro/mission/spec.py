@@ -1,27 +1,22 @@
 """FleetSpec: one declarative description of a fleet to build.
 
+:class:`FleetSpec` is the single frozen dataclass that carries every
+fleet knob (seed, orchard config, scenario conditions, negotiation
+tunables, perception backend, workers, recorder...), so
 :func:`~repro.mission.fleet.build_fleet` and
-:func:`~repro.mission.surveillance.build_surveillance_fleet` used to
-duplicate ~10 keyword arguments (seed, orchard config, scenario
-conditions, negotiation tunables, perception backend, workers,
-recorder...).  :class:`FleetSpec` is the single frozen dataclass that
-carries all of them, so both builders take one spec and drive the
-same tick-synchronous fleet graph:
+:func:`~repro.mission.surveillance.build_surveillance_fleet` each take
+one spec and drive the same tick-synchronous fleet graph:
 
 >>> from repro.mission import FleetSpec, build_fleet
 >>> scheduler = build_fleet(FleetSpec(count=4, base_seed=100))
-
-Legacy keyword calls (``build_fleet(4, base_seed=100)``) keep working
-through a :class:`DeprecationWarning` shim that constructs the
-equivalent spec — the contract test asserts shim/spec equivalence.
 
 Field applicability: the trap-reading fleet reads every field except
 the surveillance-only ones (``intruders``/``burst_start_s``/
 ``burst_spacing_s``/``laps``); the surveillance fleet ignores the
 trap-fleet-only ``perception``/``per_frame``/``backend`` knobs (guards
 always use the shared recogniser core, service-backed when
-``workers > 0``).  ``negotiation`` unifies what the legacy builders
-called ``negotiation_config`` and ``challenge_config``.
+``workers > 0``).  ``negotiation`` carries the trap fleet's
+negotiation tunables and the guards' challenge tunables alike.
 """
 
 from __future__ import annotations

@@ -46,10 +46,9 @@ reference used by the envelope benchmarks) it is built to sit inside a
 from __future__ import annotations
 
 import math
-import warnings
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.geometry.camera import CameraIntrinsics, PinholeCamera
 from repro.geometry.vec import Vec3
@@ -67,9 +66,6 @@ from repro.recognition.pipeline import (
 )
 from repro.recognition.preprocess import preprocess_frames
 from repro.vision.image import Image
-
-if TYPE_CHECKING:  # pragma: no cover — import would be cycle-free but lazy
-    from repro.service import RecognitionService
 
 __all__ = [
     "RecognitionEnvelope",
@@ -251,7 +247,6 @@ class _PerceptionCore:
         per_frame: bool,
         max_cache_entries: int,
         classifier: Classifier | None = None,
-        service: "RecognitionService | None" = None,
     ) -> None:
         self.recognizer = recognizer
         self.memoize = memoize
@@ -259,9 +254,6 @@ class _PerceptionCore:
         self.max_cache_entries = max_cache_entries
         self.classifier = classifier
         self.classify_callable = resolve_classify_callable(classifier)
-        self.service = (
-            service if service is not None else getattr(classifier, "service", None)
-        )
         self.cache: OrderedDict[ObservationQuery, MarshallingSign | None] = OrderedDict()
         self.budget = FrameBudget(budget_s=recognizer.frame_budget_s)
         self.observations = 0
@@ -364,14 +356,10 @@ class _PerceptionCore:
         does; unusable frames (no silhouette) read ``None``.
         """
         usable = [pre.series for pre in pres if pre.ok]
-        classifier = (
-            self.classify_callable
-            if self.classify_callable is not None
-            else self.recognizer.database.classify_batch
-        )
+        classify = self.classify_callable or self.recognizer.database.classify_batch
         with self.budget.stage("classify"):
             with self.budget.substage("sax_match"):
-                matches = iter(classifier(usable) if usable else [])
+                matches = iter(classify(usable) if usable else [])
             self.batch_calls += 1
         signs: list[MarshallingSign | None] = []
         for pre in pres:
@@ -461,12 +449,6 @@ class RecognizerPerception:
         ``classify_batch``.  Results are bit-identical (the sharding-
         and gateway-parity contracts), so this only changes *where* the
         matching work runs.  The caller owns the classifier lifecycle.
-    service:
-        **Deprecated** — pass
-        ``classifier=ServiceClassifier(service)`` instead.  Accepted
-        for one release as a :class:`DeprecationWarning` shim wrapping
-        the service in a
-        :class:`~repro.service.classifier.ServiceClassifier`.
     """
 
     def __init__(
@@ -479,20 +461,7 @@ class RecognizerPerception:
         pose_quantum_m: float = 0.05,
         max_cache_entries: int = 8192,
         classifier: Classifier | None = None,
-        service: "RecognitionService | None" = None,
     ) -> None:
-        if service is not None:
-            warnings.warn(
-                "RecognizerPerception(service=...) is deprecated; pass "
-                "classifier=ServiceClassifier(service) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if classifier is not None:
-                raise ValueError("pass either classifier= or service=, not both")
-            from repro.service.classifier import ServiceClassifier
-
-            classifier = ServiceClassifier(service)
         if recognizer is None:
             recognizer = SaxSignRecognizer()
             recognizer.enroll_canonical_views()
@@ -509,7 +478,6 @@ class RecognizerPerception:
             per_frame=per_frame,
             max_cache_entries=max_cache_entries,
             classifier=classifier,
-            service=service,
         )
 
     # -- views ----------------------------------------------------------------------
@@ -537,13 +505,6 @@ class RecognizerPerception:
     def classifier(self) -> Classifier | None:
         """The configured classifier backend, when one is set."""
         return self._core.classifier
-
-    @property
-    def service(self) -> "RecognitionService | None":
-        """The backing recognition service, when service-backed
-        (directly via the deprecated ``service=`` shim, or through a
-        :class:`~repro.service.classifier.ServiceClassifier`)."""
-        return self._core.service
 
     @property
     def core_key(self) -> int:

@@ -144,7 +144,7 @@ def make_recipe(builder: str, **kwargs) -> dict:
     themselves (to own the timing or the fleet object) but still want a
     self-describing recording: build the recipe here, pass it to
     :meth:`~repro.recorder.recorder.FlightRecorder.write_header`, then
-    attach the recorder via ``build_fleet(recorder=...)``.
+    attach the recorder via ``build_fleet(FleetSpec(..., recorder=...))``.
     """
     if builder not in _ALLOWED_KEYS:
         raise ValueError(f"unknown recipe builder: {builder!r}")

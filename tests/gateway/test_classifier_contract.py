@@ -83,14 +83,15 @@ class TestResolveClassifyCallable:
             resolve_classify_callable(database) == database.classify_batch
         )
 
-    def test_bare_callable_warns(self, database):
-        with pytest.warns(DeprecationWarning, match="bare callable"):
-            resolved = resolve_classify_callable(database.classify_batch)
-        assert resolved == database.classify_batch
+    def test_bare_callable_rejected(self, database):
+        # A bare classify_batch-shaped callable is not a Classifier.
+        with pytest.raises(TypeError, match="classifier must be"):
+            resolve_classify_callable(database.classify_batch)
 
     def test_garbage_rejected(self):
-        with pytest.raises(TypeError, match="classifier must be"):
-            resolve_classify_callable(42)
+        for garbage in (42, "inprocess"):
+            with pytest.raises(TypeError, match="classifier must be"):
+                resolve_classify_callable(garbage)
 
 
 class TestStatsDetail:

@@ -1,14 +1,9 @@
-"""FleetSpec: validation, the unified builder API, and the legacy shims.
+"""FleetSpec: validation, and the one builder calling convention.
 
-The spec satellite's contract: ``build_fleet(FleetSpec(...))`` and the
-legacy keyword call produce *identical* fleets (same transcripts, same
-outcomes), with the legacy path raising exactly one
-``DeprecationWarning``; ``build_surveillance_fleet`` mirrors both, with
-its legacy ``challenge_config`` mapping onto the unified
-``negotiation`` field.
+Both ``build_fleet`` and ``build_surveillance_fleet`` take a single
+positional :class:`FleetSpec`; any other call form is a ``TypeError``
+that names ``FleetSpec``.
 """
-
-import warnings
 
 import pytest
 
@@ -19,9 +14,7 @@ from repro.mission import (
     OrchardConfig,
     build_fleet,
 )
-from repro.mission.fleet import mission_transcript
 from repro.mission.surveillance import build_surveillance_fleet
-from repro.protocol import NegotiationConfig
 from repro.simulation.scenarios import DEFAULT_LIGHTINGS, DEFAULT_WINDS
 
 SMALL = OrchardConfig(
@@ -34,23 +27,7 @@ SMALL = OrchardConfig(
     blocking_fraction=1.0,
     seed=0,
 )
-FAST_NEGOTIATION = NegotiationConfig(observe_interval_s=0.1)
-
-
-def transcripts(scheduler):
-    return {m.name: mission_transcript(m.world) for m in scheduler.missions}
-
-
-def outcomes(scheduler):
-    return {
-        m.name: (
-            m.report.traps_read,
-            tuple(getattr(m.report, "skipped_traps", ())),
-            m.report.negotiations,
-            round(m.report.duration_s, 6),
-        )
-        for m in scheduler.missions
-    }
+BUILDERS = (build_fleet, build_surveillance_fleet)
 
 
 class TestValidation:
@@ -92,78 +69,29 @@ class TestValidation:
         assert FleetSpec(count=1, recorder=object()) == FleetSpec(count=1)
 
 
-class TestShimEquivalence:
-    """Spec and legacy calls build identical fleets; shim warns once."""
-
-    def test_build_fleet_shim_matches_spec(self):
-        spec = FleetSpec(
-            count=2,
-            base_seed=5,
-            config=SMALL,
-            perception="oracle",
-            negotiation=FAST_NEGOTIATION,
-        )
-        via_spec = build_fleet(spec)
-        with pytest.warns(DeprecationWarning, match="FleetSpec"):
-            via_shim = build_fleet(
-                2,
-                base_seed=5,
-                config=SMALL,
-                perception="oracle",
-                negotiation_config=FAST_NEGOTIATION,
-            )
-        via_spec.run()
-        via_shim.run()
-        assert transcripts(via_shim) == transcripts(via_spec)
-        assert outcomes(via_shim) == outcomes(via_spec)
-
-    def test_surveillance_shim_maps_challenge_config(self):
-        spec = FleetSpec(
-            count=1,
-            base_seed=9,
-            intruders=1,
-            negotiation=FAST_NEGOTIATION,
-        )
-        via_spec = build_surveillance_fleet(spec)
-        with pytest.warns(DeprecationWarning, match="FleetSpec"):
-            via_shim = build_surveillance_fleet(
-                1,
-                base_seed=9,
-                intruders=1,
-                challenge_config=FAST_NEGOTIATION,
-            )
-        via_spec.run()
-        via_shim.run()
-        assert transcripts(via_shim) == transcripts(via_spec)
-        assert outcomes(via_shim) == outcomes(via_spec)
-
-    def test_count_accepted_as_legacy_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            fleet = build_fleet(count=1, config=SMALL, perception="oracle")
-        try:
-            assert len(fleet.missions) == 1
-        finally:
-            fleet.close()
-
-    def test_spec_call_emits_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fleet = build_fleet(FleetSpec(count=1, config=SMALL, perception="oracle"))
-        fleet.close()
-
-
 class TestCallingConventionErrors:
     def test_spec_plus_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            build_fleet(FleetSpec(count=1), base_seed=3)
+        for builder in BUILDERS:
+            with pytest.raises(TypeError, match="base_seed"):
+                builder(FleetSpec(count=1), base_seed=3)
 
     def test_missing_count_rejected(self):
         with pytest.raises(TypeError, match="count"):
-            build_fleet(base_seed=3)
+            FleetSpec()
+        for builder in BUILDERS:
+            with pytest.raises(TypeError, match="spec"):
+                builder()
 
-    def test_unknown_legacy_keyword_rejected(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            build_fleet(1, shard_count=4)
+    def test_non_spec_positional_rejected(self):
+        for builder in BUILDERS:
+            for bad in (16, None, {"count": 1}):
+                with pytest.raises(TypeError, match="FleetSpec"):
+                    builder(bad)
+
+    def test_count_keyword_rejected(self):
+        for builder in BUILDERS:
+            with pytest.raises(TypeError):
+                builder(count=1, config=SMALL)
 
     def test_surveillance_rejects_trap_only_keyword(self):
         with pytest.raises(TypeError, match="unexpected keyword"):

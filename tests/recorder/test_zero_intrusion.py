@@ -20,6 +20,7 @@ import pytest
 
 from repro.mission.fleet import build_fleet, mission_transcript
 from repro.mission.orchard import OrchardConfig
+from repro.mission.spec import FleetSpec
 from repro.mission.surveillance import build_surveillance_fleet
 from repro.protocol.negotiation import NegotiationConfig
 from repro.recorder import FlightRecorder
@@ -104,27 +105,31 @@ def _outcome(fleet) -> tuple:
 
 def _build_fleet(seed: int, perception: str, recorder: FlightRecorder | None):
     return build_fleet(
-        1,
-        base_seed=seed,
-        config=SMOKE_CONFIG,
-        perception=perception,
-        negotiation_config=SMOKE_NEGOTIATION,
-        winds=(CALM,),
-        lightings=(NOON,),
-        recorder=recorder,
+        FleetSpec(
+            count=1,
+            base_seed=seed,
+            config=SMOKE_CONFIG,
+            perception=perception,
+            negotiation=SMOKE_NEGOTIATION,
+            winds=(CALM,),
+            lightings=(NOON,),
+            recorder=recorder,
+        )
     )
 
 
 def _build_surveillance(seed: int, recorder: FlightRecorder | None):
     return build_surveillance_fleet(
-        1,
-        base_seed=seed,
-        config=SMOKE_SURVEILLANCE,
-        intruders=2,
-        challenge_config=SMOKE_NEGOTIATION,
-        winds=(CALM,),
-        lightings=(NOON,),
-        recorder=recorder,
+        FleetSpec(
+            count=1,
+            base_seed=seed,
+            config=SMOKE_SURVEILLANCE,
+            intruders=2,
+            negotiation=SMOKE_NEGOTIATION,
+            winds=(CALM,),
+            lightings=(NOON,),
+            recorder=recorder,
+        )
     )
 
 
