@@ -110,8 +110,17 @@ examples:
 # Repository-benchmark smoke: perfbench's self-tests, then one short
 # traced run of each BENCHMARK.json workload (seed 1).  A run fails the
 # target unless it exits 0 and its result line (the last stdout line)
-# reports "failed": 0.  Entries are workload:seconds.
+# reports "failed": 0.  The two fleet workloads must also report a
+# non-zero dataflow.node_s and dataflow.ticks: the tracer wraps
+# Graph.tick and each built node's process, and a 0 there means the
+# per-layer attribution no longer reaches the pipeline stages.
+# trace.overhead_frac is not gated: at these 6-10 s lengths it moves
+# by a few hundredths from run to run.  Entries are workload:seconds.
 PERFBENCH_SMOKE_RUNS = fleet-orchard:6 surveillance-recorded:6 perception-served:10
+PERFBENCH_DATAFLOW_CHECK = import json, sys; \
+	m = json.load(sys.stdin)["metrics"]; \
+	zero = [k for k in ("dataflow.node_s", "dataflow.ticks") if not m[k]["value"] > 0]; \
+	sys.exit("perfbench-smoke: " + ", ".join(zero) + " reported 0" if zero else 0)
 perfbench-smoke:
 	$(PYTHON) -m pytest perfbench -q
 	@for run in $(PERFBENCH_SMOKE_RUNS); do \
@@ -124,6 +133,10 @@ perfbench-smoke:
 		case "$$result" in \
 			*'"failed": 0,'*) ;; \
 			*) echo "perfbench-smoke: $$workload reported failures"; exit 1 ;; \
+		esac; \
+		case "$$workload" in \
+			fleet-orchard|surveillance-recorded) \
+				printf '%s\n' "$$result" | $(PYTHON) -c '$(PERFBENCH_DATAFLOW_CHECK)' || exit 1 ;; \
 		esac; \
 	done
 

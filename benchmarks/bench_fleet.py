@@ -22,7 +22,7 @@ Three sections:
   asserted, including in smoke mode.
 * **perception** — cache/batch counters and the cumulative FrameBudget
   split of the shared perception core.
-* **nodes** — per-stage latency and channel occupancy from the fleet
+* **nodes** — per-stage latency and token counts from the fleet
   pipeline graph (:mod:`repro.mission.pipeline`): one entry per
   dataflow node (``world`` … ``mission``), asserted present even in
   smoke mode so the bench-trend job can gate on stage coverage.

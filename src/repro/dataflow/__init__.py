@@ -1,35 +1,20 @@
-"""DORA-style dataflow runtime: typed nodes, bounded channels, graphs.
+"""Linear dataflow runtime: an ordered chain of nodes with per-node metrics.
 
 The fleet tick path used to be a lockstep monolith inside the
 scheduler; this package decomposes such pipelines into explicit
-:class:`~repro.dataflow.node.Node`\\ s joined by typed, bounded
-:class:`~repro.dataflow.channel.Channel`\\ s and executed by a
-:class:`~repro.dataflow.graph.Graph`, whose tick-synchronous schedule
-(one deterministic sweep per tick) is the byte-identical-transcript
-contract.  Nodes only see port items, so where a node runs is an
-executor decision the node body never sees.  Per-node latency and
-per-channel queue-occupancy metrics are built into the runtime; see
-the "Dataflow runtime" section of ``docs/ARCHITECTURE.md``.
+:class:`~repro.dataflow.node.Node`\\ s that a
+:class:`~repro.dataflow.graph.Graph` calls in order each tick, handing
+each the token list the previous one returned.  That tick-synchronous
+schedule (one deterministic sweep per tick) is the
+byte-identical-transcript contract.  Per-node latency and token counts
+are built into the runtime; see the "Dataflow runtime" section of
+``docs/ARCHITECTURE.md``.
 """
 
-from repro.dataflow.channel import (
-    Channel,
-    ChannelFullError,
-    ChannelPolicy,
-    ChannelStats,
-)
 from repro.dataflow.graph import Graph, GraphError, GraphStats, NodeFailure
-from repro.dataflow.node import FunctionNode, Node, NodeMetrics, NodeStats, Port
-from repro.dataflow.stages import DynamicDecodeNode, FrameChunk
+from repro.dataflow.node import Node, NodeMetrics, NodeStats
 
 __all__ = [
-    "Channel",
-    "ChannelFullError",
-    "ChannelPolicy",
-    "ChannelStats",
-    "DynamicDecodeNode",
-    "FrameChunk",
-    "FunctionNode",
     "Graph",
     "GraphError",
     "GraphStats",
@@ -37,5 +22,4 @@ __all__ = [
     "NodeFailure",
     "NodeMetrics",
     "NodeStats",
-    "Port",
 ]

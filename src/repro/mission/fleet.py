@@ -19,16 +19,16 @@ preprocessed and matched by **one** batched recogniser pass, and every
 executor then steps
 (:meth:`~repro.mission.executor.MissionExecutor.tick`), its ``observe``
 calls answered from the just-filled cache.  :class:`FleetScheduler` is
-a thin driver over that graph: one scheduler tick is one graph tick.
+a thin driver over that graph: one scheduler tick is one graph tick,
+which calls the seven stages in order.
 
 Because the prefetched answers are bit-identical to what a synchronous
 call would compute (same pose, same quantised camera, same batched
-kernels) and the graph's topological schedule is
-execution-order-identical to the old lockstep loop, a fleet run
-replays each mission *exactly* as a sequential run would —
-``benchmarks/bench_fleet.py`` asserts this and gates the throughput
-win, and the golden mission transcripts pin it byte-for-byte.  The
-graph adds per-node latency and channel-occupancy metrics
+kernels) and the stage order is execution-order-identical to the old
+lockstep loop, a fleet run replays each mission *exactly* as a
+sequential run would — ``benchmarks/bench_fleet.py`` asserts this and
+gates the throughput win, and the golden mission transcripts pin it
+byte-for-byte.  The graph adds per-node latency metrics
 (``FleetReport.graph_stats``) on top.
 
 Scenario diversity comes from :mod:`repro.simulation.scenarios`: each
@@ -150,7 +150,7 @@ class FleetScheduler:
     """Steps N independent missions on a shared clock.
 
     All mission worlds must share one fixed time step; the scheduler
-    wires them into the seven-stage fleet pipeline graph
+    chains them into the seven-stage fleet pipeline graph
     (:func:`~repro.mission.pipeline.build_fleet_graph`) and drives one
     graph tick per fleet tick — worlds step, queries are predicted and
     grouped, and when the missions' perceptions are
@@ -290,8 +290,8 @@ class FleetScheduler:
 
         A node raising mid-tick fails loudly
         (:class:`~repro.dataflow.graph.NodeFailure`) after the graph
-        has drained its channels and closed its nodes; the owned
-        recognition service is released too.
+        has closed its nodes; the owned recognition service is
+        released too.
         """
         if not self._started:
             raise RuntimeError("call start() before tick()")

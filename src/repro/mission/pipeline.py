@@ -1,17 +1,17 @@
-"""The fleet tick pipeline as a dataflow graph.
+"""The fleet tick pipeline as a chain of dataflow stages.
 
 This module decomposes what used to be the lockstep body of
 ``FleetScheduler.tick()`` — step worlds, predict queries, prefetch,
-step executors — into typed :mod:`repro.dataflow` nodes joined by
-bounded channels:
+step executors — into :mod:`repro.dataflow` nodes that the graph calls
+in order:
 
 ```
 world ─▶ predict ─▶ lookup ─▶ render ─▶ preprocess ─▶ match ─▶ mission
 ```
 
-One :class:`FleetTick` token flows the whole length of the pipe per
-graph tick.  It carries the tick's active missions and, between the
-recognition stages, the per-perception-core
+One :class:`FleetTick` token goes down the chain per graph tick, and
+each stage mutates it in place.  It carries the tick's active missions
+and, between the recognition stages, the per-perception-core
 :class:`PerceptionBatch`\\ es being resolved: ``predict`` groups each
 mission's predicted observation query by shared perception core,
 ``lookup`` dedupes and drops cache hits, ``render`` / ``preprocess`` /
@@ -26,20 +26,20 @@ query resolves before any executor ticks, and missions keep fleet
 order at every stage — so a graph-scheduled fleet *replays* the legacy
 scheduler byte-for-byte (golden mission transcripts and
 ``bench_fleet.py`` outcome parity are the enforced contract).  What
-the graph adds is per-node latency and queue-occupancy metrics
+the graph adds is per-node latency metrics
 (:meth:`~repro.dataflow.graph.Graph.stats`, surfaced as
-``FleetReport.graph_stats``) and one seam per stage: each stage talks
-only to its channels, so a stage can be measured, replaced or moved
+``FleetReport.graph_stats``) and one seam per stage: a stage sees only
+the token it is handed, so it can be measured, replaced or wrapped
 without the mission layer noticing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.dataflow.graph import Graph
-from repro.dataflow.node import Node, Port
+from repro.dataflow.node import Node
 from repro.protocol.recognizer import ObservationQuery, RecognizerPerception
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
@@ -59,7 +59,7 @@ __all__ = [
     "build_fleet_graph",
 ]
 
-#: The pipeline stages in wire order (also the DOT/metrics ordering).
+#: The pipeline stages in chain order (also the metrics ordering).
 FLEET_STAGES = (
     "world",
     "predict",
@@ -104,23 +104,21 @@ class WorldStepNode(Node):
     at the top of the tick (nothing once the fleet is finished).
     """
 
-    outputs = (Port("ticks", FleetTick),)
-
     def __init__(self, missions: Sequence, name: str = "world") -> None:
         super().__init__(name)
         self._missions = missions
         self._tick_index = 0
 
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list[FleetTick]) -> list[FleetTick]:
         """Step active worlds; emit this tick's token."""
         active = tuple(m for m in self._missions if not m.finished)
         if not active:
-            return {}
+            return []
         for mission in active:
             mission.world.step()
         tick = FleetTick(index=self._tick_index, missions=active)
         self._tick_index += 1
-        return {"ticks": [tick]}
+        return [tick]
 
 
 class PredictNode(Node):
@@ -134,16 +132,13 @@ class PredictNode(Node):
     ``observe()`` resolves synchronously inside the ``mission`` stage.
     """
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick),)
-
     def __init__(self, batch_perception: bool = True, name: str = "predict") -> None:
         super().__init__(name)
         self.batch_perception = batch_perception
 
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list[FleetTick]) -> list[FleetTick]:
         """Predict and group this tick's observation queries."""
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             if not self.batch_perception:
                 continue
             grouped: dict[int, PerceptionBatch] = {}
@@ -163,7 +158,7 @@ class PredictNode(Node):
                     batch = grouped[perception.core_key] = PerceptionBatch(perception)
                 batch.queries.append(query)
             tick.batches = list(grouped.values())
-        return {"ticks": inputs["ticks"]}
+        return ticks
 
 
 class LookupNode(Node):
@@ -175,15 +170,12 @@ class LookupNode(Node):
     batch-mode work.
     """
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick),)
-
     def __init__(self, name: str = "lookup") -> None:
         super().__init__(name)
 
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list[FleetTick]) -> list[FleetTick]:
         """Filter each perception batch down to its cache misses."""
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             for batch in tick.batches:
                 if batch.perception.per_frame:
                     batch.perception.prefetch(batch.queries)
@@ -191,44 +183,38 @@ class LookupNode(Node):
                 else:
                     batch.misses = batch.perception.pending_misses(batch.queries)
             tick.batches = [b for b in tick.batches if b.misses]
-        return {"ticks": inputs["ticks"]}
+        return ticks
 
 
 class RenderNode(Node):
     """Render every missed query's frame (the ``render`` budget stage)."""
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick),)
-
     def __init__(self, name: str = "render") -> None:
         super().__init__(name)
 
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list[FleetTick]) -> list[FleetTick]:
         """Render this tick's cache-missed queries."""
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             for batch in tick.batches:
                 batch.frames = batch.perception.render_batch(batch.misses)
-        return {"ticks": inputs["ticks"]}
+        return ticks
 
 
 class PreprocessNode(Node):
     """Batched vision front-end over the rendered frames
     (``classify.preprocess`` budget sub-stage)."""
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick),)
-
     def __init__(self, name: str = "preprocess") -> None:
         super().__init__(name)
 
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list[FleetTick]) -> list[FleetTick]:
         """Preprocess this tick's rendered frames."""
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             for batch in tick.batches:
                 batch.pres = batch.perception.preprocess_batch(
                     batch.misses, batch.frames
                 )
-        return {"ticks": inputs["ticks"]}
+        return ticks
 
 
 class MatchNode(Node):
@@ -236,18 +222,15 @@ class MatchNode(Node):
     budget sub-stage; routed through the shard-worker pool when the
     perception is service-backed)."""
 
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("ticks", FleetTick),)
-
     def __init__(self, name: str = "match") -> None:
         super().__init__(name)
 
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list[FleetTick]) -> list[FleetTick]:
         """Match this tick's preprocessed queries into the caches."""
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             for batch in tick.batches:
                 batch.perception.match_batch(batch.misses, batch.pres)
-        return {"ticks": inputs["ticks"]}
+        return ticks
 
 
 class MissionTickNode(Node):
@@ -256,44 +239,38 @@ class MissionTickNode(Node):
     Runs strictly after ``match`` (it sits downstream of it), so every
     ``observe()`` this tick issues is answered from the just-filled
     result cache — the property that makes the graph schedule replay
-    the legacy lockstep loop exactly.  Emits the number of executors
-    stepped on ``done`` (left unwired by the fleet graph).
+    the legacy lockstep loop exactly.  Passes its tokens on, so its
+    ``items_out`` counts the ticks it stepped.
     """
-
-    inputs = (Port("ticks", FleetTick),)
-    outputs = (Port("done", int),)
 
     def __init__(self, name: str = "mission") -> None:
         super().__init__(name)
 
-    def process(self, inputs: Mapping[str, list]) -> Mapping[str, Sequence]:
+    def process(self, ticks: list[FleetTick]) -> list[FleetTick]:
         """Step every executor carried by this tick."""
-        stepped = 0
-        for tick in inputs["ticks"]:
+        for tick in ticks:
             for mission in tick.missions:
                 mission.executor.tick(mission.world)
-                stepped += 1
-        return {"done": [stepped]}
+        return ticks
 
 
 def build_fleet_graph(
     missions: Sequence["FleetMission"],
     batch_perception: bool = True,
-    channel_capacity: int = 2,
     tap=None,
 ) -> Graph:
-    """Wire the seven-stage fleet pipeline over *missions*.
+    """Chain the seven-stage fleet pipeline over *missions*.
 
-    Returns a validated :class:`~repro.dataflow.graph.Graph` with the
-    linear topology whose nodes are named after :data:`FLEET_STAGES`
-    and whose channels all carry :class:`FleetTick` under backpressure
-    (``BLOCK`` policy) — the byte-identical-transcript schedule the
-    graph :class:`~repro.mission.fleet.FleetScheduler` drives.  *tap*
-    is the per-node observability hook forwarded to the graph (the
-    flight recorder's read-only attachment point).
+    Returns a :class:`~repro.dataflow.graph.Graph` whose nodes are
+    named after :data:`FLEET_STAGES`, in that order, and pass one
+    :class:`FleetTick` down the chain per tick — the
+    byte-identical-transcript schedule the
+    :class:`~repro.mission.fleet.FleetScheduler` drives.  *tap* is the
+    per-node observability hook forwarded to the graph (the flight
+    recorder's read-only attachment point).
     """
     graph = Graph(name="fleet", tap=tap)
-    nodes = [
+    for node in (
         WorldStepNode(missions),
         PredictNode(batch_perception=batch_perception),
         LookupNode(),
@@ -301,10 +278,6 @@ def build_fleet_graph(
         PreprocessNode(),
         MatchNode(),
         MissionTickNode(),
-    ]
-    for node in nodes:
+    ):
         graph.add(node)
-    for src, dst in zip(nodes, nodes[1:]):
-        graph.connect(src, "ticks", dst, "ticks", capacity=channel_capacity)
-    graph.validate()
     return graph

@@ -12,11 +12,14 @@ one spec and drive the same tick-synchronous fleet graph:
 
 Field applicability: the trap-reading fleet reads every field except
 the surveillance-only ones (``intruders``/``burst_start_s``/
-``burst_spacing_s``/``laps``); the surveillance fleet ignores the
-trap-fleet-only ``perception``/``per_frame``/``backend`` knobs (guards
-always use the shared recogniser core, service-backed when
-``workers > 0``).  ``negotiation`` carries the trap fleet's
-negotiation tunables and the guards' challenge tunables alike.
+``burst_spacing_s``/``laps``).  Guards always use the shared recogniser
+core, service-backed when ``workers > 0``, so the surveillance fleet
+rejects (:class:`ValueError`) any value of the trap-fleet-only
+``perception``/``per_frame``/``backend`` knobs that asks for something
+else: another perception, the per-frame mode, the gateway backend, or
+a backend that contradicts ``workers``.  ``negotiation`` carries the
+trap fleet's negotiation tunables and the guards' challenge tunables
+alike.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class FleetSpec:
         ``"recognizer"`` (shared batched core, per-mission lighting
         views), ``"oracle"``, or a concrete
         :class:`~repro.protocol.perception.Perception` instance used
-        directly for every mission.  Trap fleet only.
+        directly for every mission.  The surveillance fleet accepts
+        only ``"recognizer"``.
     winds / lightings:
         Scenario condition pools (cycled per mission index).
     negotiation:
@@ -76,16 +80,18 @@ class FleetSpec:
     batch_perception:
         Aggregate per-tick queries into one batched recognition pass.
     per_frame:
-        Scalar per-frame reference mode (trap fleet only).
+        Scalar per-frame reference mode (trap fleet only; the
+        surveillance fleet rejects ``True``).
     drone_home:
         Launch pad for every mission's drone.
     workers:
         Shard worker processes behind the service/gateway backends.
     backend:
         Where the shared core's ``sax_match`` runs (``"auto"``,
-        ``"inprocess"``, ``"service"``, ``"gateway"``); trap fleet
-        only — the surveillance fleet is service-backed iff
-        ``workers > 0``.
+        ``"inprocess"``, ``"service"``, ``"gateway"``).  The
+        surveillance fleet is service-backed iff ``workers > 0`` and
+        rejects ``"gateway"`` and a backend that contradicts
+        ``workers``.
     recorder:
         Optional :class:`~repro.recorder.FlightRecorder` attached to
         the scheduler.

@@ -431,8 +431,12 @@ def build_surveillance_fleet(spec: FleetSpec, /) -> FleetScheduler:
     ``burst_start_s + j * burst_spacing_s`` (via the world's event
     queue) — the whole burst lands within a few seconds, the bursty
     workload the benchmark measures.  The spec's ``negotiation`` field
-    carries the challenge tunables; its trap-fleet-only knobs
-    (``perception``/``per_frame``/``backend``) are ignored here.
+    carries the challenge tunables.  Guards always use the shared
+    recogniser core, so the trap-fleet-only knobs must keep values that
+    mean exactly that: ``perception="recognizer"``, ``per_frame=False``
+    and a ``backend`` of ``"auto"``, ``"inprocess"`` (no workers) or
+    ``"service"`` (workers); any other value raises :class:`ValueError`
+    naming the field rather than being dropped.
 
     Everything derives from ``base_seed``, so the same spec replays the
     same patrols, challenges and escalations exactly.  An optional
@@ -442,6 +446,18 @@ def build_surveillance_fleet(spec: FleetSpec, /) -> FleetScheduler:
     straight off each guard's event bus.
     """
     _require_spec(spec, "build_surveillance_fleet")
+    if spec.backend == "gateway":
+        raise ValueError("build_surveillance_fleet does not support backend='gateway'")
+    if spec.backend == "inprocess" and spec.workers:
+        raise ValueError("backend='inprocess' cannot use shard workers")
+    if spec.backend == "service" and not spec.workers:
+        raise ValueError("backend='service' needs workers >= 1")
+    if spec.per_frame:
+        raise ValueError("build_surveillance_fleet does not support per_frame=True")
+    if spec.perception != "recognizer":
+        raise ValueError(
+            f"build_surveillance_fleet needs perception='recognizer', got {spec.perception!r}"
+        )
     base_seed = spec.base_seed
     intruders = spec.intruders
     workers = spec.workers

@@ -49,7 +49,7 @@ DETERMINISTIC_KINDS = frozenset(
     {
         "header",  # schema version + the recipe that produced the run
         "start",  # fleet composition at scheduler start
-        "tick",  # per-tick node/channel counters + perception deltas
+        "tick",  # per-tick node and hop ("channels") counters + perception deltas
         "observation",  # a cache miss leaving the lookup stage
         "verdict",  # the classification a miss resolved to
         "negotiation",  # sign_observed / protocol_state transitions

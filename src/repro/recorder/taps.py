@@ -8,8 +8,9 @@ verdicts ``match`` resolved them to, while :meth:`~FleetRecorderTap.on_tick`
 — called by :class:`~repro.mission.fleet.FleetScheduler` after each
 graph sweep — captures world-log deltas (negotiation transitions,
 escalations, mission lifecycle), perception-counter deltas and a
-per-tick node/channel summary.  Surveillance escalations are also taken
-straight off each executor's
+per-tick summary of stage activity and of the tokens handed down each
+hop of the stage chain (read off the nodes' counters).  Surveillance
+escalations are also taken straight off each executor's
 :class:`~repro.simulation.events.EventEmitter` via a wildcard
 subscription.
 
@@ -84,7 +85,7 @@ class FleetRecorderTap:
         self._eventful = False
         self._node_activity: dict[str, list[int]] = {}
         self._report_recorded = False
-        self._channels: tuple | None = None
+        self._hops: list | None = None
         for mission in self._missions:
             emitter = getattr(mission.executor, "emitter", None)
             self._has_bus.append(emitter is not None)
@@ -126,12 +127,12 @@ class FleetRecorderTap:
             },
         )
 
-    def graph_tap(self, tick: int, node, inputs, outputs, items_in: int, items_out: int) -> None:
+    def graph_tap(self, tick: int, node, tokens_in: list, tokens_out: list) -> None:
         """Graph observability hook: per-node activity plus the
         recognition traffic leaving ``lookup`` and ``match``."""
-        self._node_activity[node.name] = [items_in, items_out]
+        self._node_activity[node.name] = [len(tokens_in), len(tokens_out)]
         if node.name == "lookup":
-            for token in outputs.get("ticks", ()):
+            for token in tokens_out:
                 for batch in token.batches:
                     core = self._core_label(batch.perception)
                     for query in batch.misses:
@@ -144,7 +145,7 @@ class FleetRecorderTap:
                             data={"query": payload, "digest": query_digest(payload)},
                         )
         elif node.name == "match":
-            for token in outputs.get("ticks", ()):
+            for token in tokens_out:
                 for batch in token.batches:
                     core = self._core_label(batch.perception)
                     for query in batch.misses:
@@ -193,7 +194,7 @@ class FleetRecorderTap:
             data = {"nodes": dict(sorted(self._node_activity.items()))}
             if perception:
                 data["perception"] = perception
-            data["channels"] = self._channel_counters(graph)
+            data["channels"] = self._hop_counters(graph)
             self._recorder.record("tick", tick=tick, data=data)
         self._eventful = False
         self._node_activity = {}
@@ -309,11 +310,20 @@ class FleetRecorderTap:
                 self._stats_prev[label] = snapshot
         return deltas
 
-    def _channel_counters(self, graph) -> dict:
-        channels = self._channels
-        if channels is None:
-            channels = self._channels = graph.channels
-        return {channel.name: list(channel.flow) for channel in channels}
+    def _hop_counters(self, graph) -> dict:
+        """Per-hop ``[puts, gets, drops, refusals]`` under the recorded
+        ``"<src>.ticks-><dst>.ticks"`` names: every token a stage
+        returns is handed on within the same tick, so both counts are
+        the source stage's cumulative ``items_out`` and nothing is
+        ever dropped or refused."""
+        hops = self._hops
+        if hops is None:
+            nodes = graph.nodes
+            hops = self._hops = [
+                (f"{src.name}.ticks->{dst.name}.ticks", src.metrics)
+                for src, dst in zip(nodes, nodes[1:])
+            ]
+        return {name: [m.items_out, m.items_out, 0, 0] for name, m in hops}
 
 
 def _sorted_detail(detail: dict) -> dict:

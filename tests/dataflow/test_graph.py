@@ -1,60 +1,53 @@
-"""Graph executor: wiring, scheduling, backpressure, failure, DOT."""
+"""Graph executor: the linear chain, its metrics and loud failure."""
 
 import pytest
 
-from repro.dataflow import (
-    ChannelPolicy,
-    FunctionNode,
-    Graph,
-    GraphError,
-    Node,
-    NodeFailure,
-    Port,
-)
+from repro.dataflow import Graph, GraphError, Node, NodeFailure
 
 
 class EmitNode(Node):
     """Source emitting one preloaded item per tick."""
 
-    outputs = (Port("out", int),)
-
     def __init__(self, items, name="emit"):
         super().__init__(name)
         self._items = list(items)
 
-    def process(self, inputs):
+    def process(self, tokens):
         if not self._items:
-            return {}
-        return {"out": [self._items.pop(0)]}
+            return []
+        return [self._items.pop(0)]
 
 
 class BurstNode(Node):
     """Source emitting *all* preloaded items on its first tick."""
 
-    outputs = (Port("out", int),)
-
     def __init__(self, items, name="burst"):
         super().__init__(name)
         self._items = list(items)
 
-    def process(self, inputs):
+    def process(self, tokens):
         items, self._items = self._items, []
-        return {"out": items}
+        return items
+
+
+class DoubleNode(Node):
+    """Doubles every item it is handed."""
+
+    def process(self, tokens):
+        return [2 * x for x in tokens]
 
 
 class CollectNode(Node):
     """Sink collecting everything it receives; records close()."""
-
-    inputs = (Port("in", object),)
 
     def __init__(self, name="collect"):
         super().__init__(name)
         self.items = []
         self.close_calls = 0
 
-    def process(self, inputs):
-        self.items.extend(inputs["in"])
-        return {}
+    def process(self, tokens):
+        self.items.extend(tokens)
+        return []
 
     def close(self):
         self.close_calls += 1
@@ -63,29 +56,21 @@ class CollectNode(Node):
 class FailNode(Node):
     """Raises on the first item it sees."""
 
-    inputs = (Port("in", object),)
-    outputs = (Port("out", object),)
-
     def __init__(self, name="fail"):
         super().__init__(name)
         self.close_calls = 0
 
-    def process(self, inputs):
+    def process(self, tokens):
         raise RuntimeError("boom")
 
     def close(self):
         self.close_calls += 1
 
 
-def linear(*nodes, capacity=16, policy=ChannelPolicy.BLOCK):
+def linear(*nodes):
     graph = Graph()
     for node in nodes:
         graph.add(node)
-    for src, dst in zip(nodes, nodes[1:]):
-        src_port = src.outputs[0].name
-        dst_port = dst.inputs[0].name
-        graph.connect(src, src_port, dst, dst_port, capacity=capacity, policy=policy)
-    graph.validate()
     return graph
 
 
@@ -96,79 +81,14 @@ class TestWiring:
         with pytest.raises(GraphError, match="duplicate"):
             graph.add(CollectNode(name="x"))
 
-    def test_unconnected_input_fails_validation(self):
-        graph = Graph()
-        graph.add(CollectNode())
-        with pytest.raises(GraphError, match="not connected"):
-            graph.validate()
-
-    def test_type_mismatch_rejected_at_wire_time(self):
-        graph = Graph()
-        src = graph.add(EmitNode([1]))
-        dst = graph.add(CollectNode())
-        dst.inputs = (Port("in", str),)
-        with pytest.raises(GraphError, match="type mismatch"):
-            graph.connect(src, "out", dst, "in")
-
-    def test_input_port_accepts_one_channel(self):
-        graph = Graph()
-        a = graph.add(EmitNode([1], name="a"))
-        b = graph.add(EmitNode([2], name="b"))
-        sink = graph.add(CollectNode())
-        graph.connect(a, "out", sink, "in")
-        with pytest.raises(GraphError, match="already connected"):
-            graph.connect(b, "out", sink, "in")
-
-    def test_fan_out_duplicates_items(self):
-        graph = Graph()
-        src = graph.add(BurstNode([1, 2]))
-        left = graph.add(CollectNode(name="left"))
-        right = graph.add(CollectNode(name="right"))
-        graph.connect(src, "out", left, "in")
-        graph.connect(src, "out", right, "in")
-        graph.validate()
-        graph.drain()
-        assert left.items == [1, 2]
-        assert right.items == [1, 2]
-
-    def test_cycle_detected(self):
-        class Loop(Node):
-            inputs = (Port("in", object),)
-            outputs = (Port("out", object),)
-
-            def process(self, inputs):
-                return {}
-
-        graph = Graph()
-        a = graph.add(Loop("a"))
-        b = graph.add(Loop("b"))
-        graph.connect(a, "out", b, "in")
-        graph.connect(b, "out", a, "in")
-        with pytest.raises(GraphError, match="cycle"):
-            graph.validate()
-
-    def test_unknown_node_name(self):
-        with pytest.raises(GraphError, match="no node named"):
-            Graph().node("ghost")
-
 
 class TestExecution:
     def test_one_tick_moves_data_the_whole_pipe(self):
-        # Topological scheduling: source -> fn -> sink all in ONE tick.
+        # source -> double -> sink all in ONE tick.
         sink = CollectNode()
-        graph = linear(
-            EmitNode([3]),
-            FunctionNode("double", lambda items: [2 * x for x in items], int, int),
-            sink,
-        )
+        graph = linear(EmitNode([3]), DoubleNode("double"), sink)
         graph.tick()
         assert sink.items == [6]
-
-    def test_drain_runs_until_quiescent(self):
-        sink = CollectNode()
-        graph = linear(EmitNode([1, 2, 3]), sink)
-        graph.drain()
-        assert sink.items == [1, 2, 3]
 
     def test_non_source_skipped_when_no_items(self):
         sink = CollectNode()
@@ -176,6 +96,7 @@ class TestExecution:
         graph.tick()
         graph.tick()  # source emits nothing; sink must not be invoked
         assert graph.stats().node("collect").ticks == 1
+        assert graph.stats().ticks == 2
 
     def test_metrics_count_items_and_latency(self):
         sink = CollectNode()
@@ -188,54 +109,14 @@ class TestExecution:
         assert collect.busy_s >= 0.0
         assert collect.mean_tick_s == pytest.approx(collect.busy_s)
 
-    def test_channel_stats_rolled_up(self):
-        sink = CollectNode()
-        graph = linear(BurstNode([1, 2]), sink, capacity=8)
+    def test_tap_sees_each_node_tokens_in_and_out(self):
+        calls = []
+        graph = Graph(tap=lambda *args: calls.append(args))
+        emit = graph.add(EmitNode([3]))
+        double = graph.add(DoubleNode("double"))
         graph.tick()
-        stats = graph.stats()
-        (channel,) = stats.channels
-        assert channel.puts == 2
-        assert channel.gets == 2
-        assert channel.high_water == 2
-        assert stats.as_dict()["channels"][channel.name]["capacity"] == 8
-
-
-class TestBackpressure:
-    def test_block_channel_stalls_producer(self):
-        # Burst of 4 into a capacity-1 BLOCK channel: the refused tail
-        # waits in the pending buffer and the producer stalls until it
-        # flushes; nothing is lost and FIFO order holds.
-        sink = CollectNode()
-        graph = linear(BurstNode([1, 2, 3, 4]), sink, capacity=1)
-        graph.drain()
-        assert sink.items == [1, 2, 3, 4]
-        assert graph.stats().node("burst").stalled_ticks > 0
-        assert graph.stats().channels[0].refusals > 0
-
-    def test_drop_channel_sheds_overflow(self):
-        sink = CollectNode()
-        graph = linear(
-            BurstNode([1, 2, 3, 4]), sink, capacity=2, policy=ChannelPolicy.DROP
-        )
-        graph.drain()
-        assert sink.items == [1, 2]  # oldest delivered, overflow shed
-        assert graph.stats().channels[0].drops == 2
-        assert graph.stats().node("burst").stalled_ticks == 0
-
-    def test_zero_capacity_block_wire_stalls_forever(self):
-        sink = CollectNode()
-        graph = linear(BurstNode([1]), sink, capacity=0)
-        for _ in range(5):
-            graph.tick()
-        assert sink.items == []
-        assert graph.stats().node("burst").stalled_ticks == 4
-
-    def test_zero_capacity_drop_wire_sheds_everything(self):
-        sink = CollectNode()
-        graph = linear(BurstNode([1, 2]), sink, capacity=0, policy=ChannelPolicy.DROP)
-        graph.drain()
-        assert sink.items == []
-        assert graph.stats().channels[0].drops == 2
+        graph.tick()
+        assert calls == [(0, emit, [], [3]), (0, double, [3], [6]), (1, emit, [], [])]
 
 
 class TestFailure:
@@ -250,18 +131,17 @@ class TestFailure:
         with pytest.raises(NodeFailure, match="node 'fail' failed on graph tick 0"):
             graph.tick()
 
-    def test_failure_closes_graph_and_drains_channels(self):
+    def test_failure_closes_graph_and_every_node(self):
         graph, fail, sink = self.build_failing()
         with pytest.raises(NodeFailure):
             graph.tick()
         assert graph.closed
         assert fail.close_calls == 1
         assert sink.close_calls == 1
-        assert all(c.occupancy == 0 for c in graph.stats().channels)
 
     def test_close_errors_do_not_mask_the_node_failure(self):
         class BadCloseNode(FailNode):
-            def process(self, inputs):
+            def process(self, tokens):
                 raise ValueError("bad frame")
 
             def close(self):
@@ -313,17 +193,3 @@ class TestFailure:
         graph.tick()
         graph.close()
         assert graph.stats().node("collect").items_in == 1
-
-
-class TestDot:
-    def test_to_dot_lists_nodes_and_typed_edges(self):
-        graph = linear(EmitNode([1]), CollectNode(), capacity=3)
-        dot = graph.to_dot()
-        assert dot.startswith('digraph "graph" {')
-        assert '"emit" [label="emit\\n[inline]"];' in dot
-        assert '"emit" -> "collect"' in dot
-        assert "cap=3 block" in dot
-
-    def test_to_dot_marks_unbounded_capacity(self):
-        graph = linear(EmitNode([1]), CollectNode(), capacity=None)
-        assert "cap=∞" in graph.to_dot()

@@ -15,6 +15,7 @@ from repro.mission import (
     build_fleet,
 )
 from repro.mission.surveillance import build_surveillance_fleet
+from repro.protocol.perception import OraclePerception
 from repro.simulation.scenarios import DEFAULT_LIGHTINGS, DEFAULT_WINDS
 
 SMALL = OrchardConfig(
@@ -112,10 +113,23 @@ class TestSpecFieldRouting:
             trap.close()
             guard.close()
 
-    def test_surveillance_ignores_trap_only_fields(self):
-        # perception/per_frame/backend are trap-fleet knobs; the guard
-        # fleet builds regardless of their values.
-        fleet = build_surveillance_fleet(
-            FleetSpec(count=1, perception="oracle", per_frame=True, backend="auto")
-        )
-        fleet.close()
+    @pytest.mark.parametrize(
+        "fields, field_name",
+        [
+            (dict(backend="gateway"), "backend"),
+            (dict(backend="inprocess", workers=1), "backend"),
+            (dict(backend="service"), "backend"),
+            (dict(per_frame=True), "per_frame"),
+            (dict(perception="oracle"), "perception"),
+            (dict(perception=OraclePerception()), "perception"),
+        ],
+    )
+    def test_surveillance_rejects_trap_only_fields_it_cannot_honour(self, fields, field_name):
+        # Guards always use the shared recogniser core: a spec asking
+        # for anything else must fail loudly, not build a different fleet.
+        with pytest.raises(ValueError, match=field_name):
+            build_surveillance_fleet(FleetSpec(count=1, **fields))
+
+    @pytest.mark.parametrize("backend", ["auto", "inprocess"])
+    def test_surveillance_builds_with_default_trap_fields(self, backend):
+        build_surveillance_fleet(FleetSpec(count=1, backend=backend)).close()
